@@ -194,14 +194,3 @@ class EdgeClient:
             self._absorb(self.session, live=True)
             self.session = None
         return self.totals
-
-    @property
-    def attributed_fraction(self) -> float:
-        """Attributed / offered over this client's lifetime (1.0 = all)."""
-        offered = self.totals["offered"]
-        if offered == 0:
-            return 1.0
-        accounted = sum(
-            self.totals[key] for key in _TOTAL_KEYS if key != "offered"
-        )
-        return accounted / offered

@@ -635,9 +635,6 @@ class PubsubEdgeFrontend:
     # ------------------------------------------------------------------
     # session lifecycle
 
-    def head_offsets(self) -> Dict[int, int]:
-        return {log.partition: log.next_offset for log in self.topic.partitions}
-
     def connect(self, client) -> ClientSession:
         """Terminate a session; replay the log from the client's cursor."""
         if not self.up:

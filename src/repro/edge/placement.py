@@ -62,13 +62,6 @@ class SessionPlacement:
     def frontends(self) -> Dict[str, object]:
         return dict(self._frontends)
 
-    def census(self) -> Dict[str, int]:
-        """Live session count per frontend (E14's balance check)."""
-        return {
-            name: frontend.active_sessions
-            for name, frontend in sorted(self._frontends.items())
-        }
-
     # ------------------------------------------------------------------
     # membership
 

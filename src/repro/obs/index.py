@@ -124,9 +124,6 @@ class TraceIndex:
         # log order is sim-time order, so insertion order is chronological
         return list(seen.items())
 
-    def has_hop(self, key: str, version: int, hop: str) -> bool:
-        return any(e.hop == hop for e in self._chains.get((key, version), ()))
-
     def delivered(self) -> List[Tuple[str, int]]:
         """Updates whose chain reached a terminal apply hop."""
         return [

@@ -72,6 +72,10 @@ class Consumer:
         self.up = True
         self.processed = 0
         self.failed = 0
+        #: handler invocations that raised; each is also nacked and
+        #: counted in ``failed``, so the broker redelivers as usual
+        self.handler_errors = 0
+        self.last_error: Optional[Exception] = None
         self.dropped_while_down = 0
         self._queue: Deque[tuple[Message, Callable[[], None], Callable[[], None]]] = deque()
         self._busy = False
@@ -135,7 +139,9 @@ class Consumer:
                 return
             try:
                 ok = self._handle_batch(message) if is_batch else self.handler(message)
-            except Exception:
+            except Exception as exc:
+                self.handler_errors += 1
+                self.last_error = exc
                 ok = False
             count = len(message) if is_batch else 1
             if ok is False:

@@ -200,10 +200,6 @@ class _ApplierBase:
     def backlog(self) -> int:
         return self.group.backlog()
 
-    def unapplied_in_flight(self) -> int:
-        """Applies shipped to the replica but not yet acknowledged."""
-        return self._tx.pending_count if self._tx is not None else 0
-
 
 class SerialTxnApplier(_ApplierBase):
     """One worker; regroups records into transactions and applies each

@@ -27,39 +27,31 @@ Hot-path design (see ``docs/performance.md``):
   comes from a process-global counter and is never reused, which makes
   it a generation tag: a stale :class:`EventHandle` over a recycled
   entry detects the seq mismatch and its ``cancel()`` is a no-op.
-- ``call_after(0.0, ...)`` — the dominant pattern (Waiter resumption,
-  ``spawn``, subscription pumps, zero-latency watch drains) — bypasses
-  the heap entirely through a FIFO *fast lane*.  Fast-lane entries carry
-  the same ``(time, seq)`` stamps, and the run loop always fires the
-  globally smallest ``(time, seq)`` across both queues, so the observable
-  order is identical to a single heap.
-- Non-zero delays beyond the timer wheel's near horizon are *staged*:
-  scheduling is one list append, and the run loop bulk-routes staged
-  entries into the wheel/heap at the top of its dispatch cycle — with
-  the wheel's geometry in locals — before any selection.  Nothing can
-  observe the difference: between a schedule and its flush no event
-  fires, so the clock and the wheel are exactly as an immediate insert
-  would have seen them, and routing (and the wheel's stats) is
-  bit-for-bit the same.
+- Events live in three lanes.  ``call_after(0.0, ...)`` — the dominant
+  pattern (Waiter resumption, ``spawn``, subscription pumps,
+  zero-latency watch drains) — bypasses the heap entirely through a
+  FIFO *fast lane*.  Non-zero delays within one wheel slot go to the
+  binary heap.  Delays at or past the wheel's near edge park in a
+  hierarchical :class:`~repro.sim.timerwheel.TimerWheel`: O(1)
+  insert/cancel, so a million idle-session timers cost nothing until
+  they fire (see ``docs/scale.md``).
+- The run loop first moves every due wheel slot into the heap with
+  :meth:`~repro.sim.timerwheel.TimerWheel.advance`, then fires the
+  smaller ``(time, seq)`` of the heap head and the fast-lane head.
+  Fast-lane entries carry the same stamps, so the observable order —
+  and therefore every trace byte — is identical to a single heap.
 - Cancelled events stay queued as tombstones and are skipped on pop; a
-  live-event counter keeps :attr:`Simulation.pending_events` O(1), and
-  the heap is compacted when tombstones dominate it (resilience timers
-  cancel constantly and would otherwise accumulate until drained).
-- Non-zero delays within the horizon go to a hierarchical
-  :class:`~repro.sim.timerwheel.TimerWheel`: O(1) insert/cancel, so a
-  million idle-session timers cost nothing until they fire (see
-  ``docs/scale.md``).  When a slot comes due the run loop pulls it as
-  one pre-sorted *ready run* (a plain list consumed by index — no
-  per-event heap traffic) and merges it as a third lane by the same
-  global ``(time, seq)`` order, so firing order — and therefore every
-  trace byte — is unchanged.
+  tombstone counter keeps :attr:`Simulation.pending_events` O(1), and
+  the lanes are compacted when tombstones dominate them (resilience
+  timers cancel constantly and would otherwise accumulate until
+  drained).
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from collections import deque
-from itertools import count as _counter, islice as _islice
+from itertools import count as _counter
 import random
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional
 
@@ -260,14 +252,6 @@ class Simulation:
         #: O(1)-insert lane for delayed events; the heap remains the
         #: fallback for out-of-horizon (and behind-the-tick) times
         self._wheel = TimerWheel(origin=start)
-        #: delayed events awaiting wheel/heap routing (see module notes:
-        #: flushed before anything can observe the difference)
-        self._staged: List[List[Any]] = []
-        #: the in-flight ready run: one due wheel slot, pre-sorted by
-        #: (time, seq), consumed by index in run().  Every entry here
-        #: fires strictly before wheel._due, so refilling only when the
-        #: run is exhausted preserves the global order.
-        self._ready: List[List[Any]] = []
         self._tombstones = 0  # cancelled events still queued
         self._running = False
         self._processes: list[ProcessHandle] = []
@@ -315,10 +299,10 @@ class Simulation:
         # one float compare keeps near timers (the hot path) off the
         # wheel entirely; _near is monotone, so staleness only over-
         # routes to the heap — never mis-parks
-        if t < self._wheel._near:
+        if t < self._wheel._near or not self._wheel.insert(
+            entry, self.clock._now
+        ):
             _heappush(self._heap, entry)
-        else:
-            self._staged.append(entry)
         handle = _new_handle(_EventHandle)
         handle._entry = entry
         handle._sim = self
@@ -387,10 +371,8 @@ class Simulation:
             entry = [t, _next_seq(), fn, label, False]
         if delay == 0.0:
             self._fast.append(entry)
-        elif t < self._wheel._near:
+        elif t < self._wheel._near or not self._wheel.insert(entry, now):
             _heappush(self._heap, entry)
-        else:
-            self._staged.append(entry)
 
     def _call_soon_1(
         self, fn: Callable[[Any], None], arg: Any,
@@ -416,92 +398,6 @@ class Simulation:
         return Waiter(self)
 
     # ------------------------------------------------------------------
-    # staged routing
-
-    def _flush_staged(self) -> None:
-        """Route staged delayed entries into the wheel/heap.
-
-        Runs with the wheel's geometry in locals; level-0 parks (the
-        common case) batch their bookkeeping.  The routing decisions —
-        and every wheel stat — are identical to having called
-        ``wheel.insert`` at schedule time: between a schedule and its
-        flush no event fires, so the clock, ``_cur`` and ``_near`` are
-        untouched, and the entries are processed in schedule order.
-        """
-        staged = self._staged
-        wheel = self._wheel
-        heap = self._heap
-        insert = wheel.insert
-        now = self.clock._now
-        _int = int
-        i = 0
-        n = len(staged)
-        # prime: while the wheel is empty, insert() may fast-forward
-        # its cursor, so route through it until something parks (almost
-        # always zero or one iteration)
-        while i < n and not wheel._count:
-            entry = staged[i]
-            i += 1
-            if not insert(entry, now):
-                heappush(heap, entry)
-        if i < n:
-            mask = wheel._mask
-            if mask:
-                origin = wheel.origin
-                inv_res = wheel._inv_res
-                res = wheel.resolution
-                b0 = wheel._b0
-                # the wheel stays non-empty from here on, so its cursor
-                # is frozen for the rest of the flush: the level-0 slot
-                # bounds hoist out of the loop
-                cur = wheel._cur
-                hi = cur + mask
-                parked = 0  # batched level-0 bookkeeping
-                bapp = None  # consecutive same-slot parks (timer
-                sstart = 1.0  # bursts) reuse the bound bucket append;
-                send = 0.0  # [sstart, send) is the last slot's window
-                for entry in _islice(staged, i, None):
-                    t = entry[0]
-                    # same-slot fast path on the slot's float window —
-                    # for power-of-two resolutions this is bit-exact
-                    # with the slot index compare it replaces
-                    if sstart <= t < send:
-                        bapp(entry)
-                        parked += 1
-                        continue
-                    s = _int((t - origin) * inv_res)
-                    # same test as insert(): within the level-0 window
-                    # and never into a slot whose start exceeds t (the
-                    # float guard prevents firing a tick late)
-                    if cur < s <= hi and origin + s * res <= t:
-                        bapp = b0[s & mask].append
-                        bapp(entry)
-                        sstart = origin + s * res
-                        send = sstart + res
-                        parked += 1
-                    else:
-                        # far levels and behind-the-tick rejections;
-                        # sync the batched counters so insert() sees
-                        # exact state
-                        if parked:
-                            wheel._counts[0] += parked
-                            wheel._count += parked
-                            wheel.inserted += parked
-                            parked = 0
-                        if not insert(entry, now):
-                            heappush(heap, entry)
-                if parked:
-                    wheel._counts[0] += parked
-                    wheel._count += parked
-                    wheel.inserted += parked
-            else:
-                # non-power-of-two slot count: no inline fast path
-                for entry in _islice(staged, i, None):
-                    if not insert(entry, now):
-                        heappush(heap, entry)
-        del staged[:]
-
-    # ------------------------------------------------------------------
     # cancellation accounting
 
     def _on_cancel(self) -> None:
@@ -509,8 +405,7 @@ class Simulation:
         if (
             self._tombstones >= _COMPACT_MIN_TOMBSTONES
             and self._tombstones * 2
-            > len(self._heap) + len(self._fast) + len(self._ready)
-            + len(self._staged) + self._wheel.size
+            > len(self._heap) + len(self._fast) + self._wheel.size
         ):
             self._compact()
 
@@ -518,15 +413,8 @@ class Simulation:
         """Drop cancelled tombstones from all lanes.
 
         Mutates the queues in place: the run loop holds direct
-        references to them.  Staged entries are routed first, restoring
-        exactly the state an immediate-insert kernel would compact.
-        Entries already consumed by an in-flight ready run carry
-        ``cancelled=False`` (the run loop resets the flag as it skips),
-        so only the unconsumed suffix is filtered and the run loop's
-        position stays valid.
+        references to them.
         """
-        if self._staged:
-            self._flush_staged()
         pool = _POOL
         heap = self._heap
         live = [e for e in heap if not e[_CANCELLED]]
@@ -545,15 +433,6 @@ class Simulation:
             else:
                 entry[_CANCELLED] = False  # pool invariant
                 pool.append(entry)
-        ready = self._ready
-        if ready:
-            keep = [e for e in ready if not e[_CANCELLED]]
-            if len(keep) != len(ready):
-                for e in ready:
-                    if e[_CANCELLED]:
-                        e[_CANCELLED] = False  # pool invariant
-                        pool.append(e)
-                ready[:] = keep
         self._wheel.compact()
         self._tombstones = 0
         if len(pool) > _POOL_MAX:
@@ -631,24 +510,12 @@ class Simulation:
         heap = self._heap
         fast = self._fast
         wheel = self._wheel
-        ready = self._ready
-        staged = self._staged
         pool = _POOL
         prof = self.profiler
         limit = _INF if until is None else until
         consumed = 0  # fired events (runaway guard)
-        rp = 0  # consumed prefix of the ready run (trimmed in finally)
         try:
             while True:
-                # route anything scheduled since the last dispatch —
-                # before tombstone skips, refills, and selection, so
-                # every lane is complete when the next event is picked
-                if staged:
-                    self._flush_staged()
-                # drop tombstones from every lane head.  Consumed ready
-                # tombstones get their flag reset so _compact (which may
-                # run mid-loop, from inside a callback) filters only the
-                # unconsumed suffix and rp stays a valid index.
                 if self._tombstones:
                     while heap and heap[0][_CANCELLED]:
                         entry = heappop(heap)
@@ -660,73 +527,43 @@ class Simulation:
                         entry[_CANCELLED] = False  # pool invariant
                         pool.append(entry)
                         self._tombstones -= 1
-                    while rp < len(ready) and ready[rp][_CANCELLED]:
-                        # flag reset marks it consumed; recycled with
-                        # the rest of the run at the next refill
-                        ready[rp][_CANCELLED] = False
-                        rp += 1
-                        self._tombstones -= 1
-                rl = len(ready)
-                if rp >= rl:
-                    if rl:
-                        # whole run consumed: recycle it in bulk
-                        pool.extend(ready)
-                        del ready[:]
-                        rp = 0
+                if wheel._count and wheel._due <= limit:
                     # parked timers may be due before the queue heads:
-                    # pull the next due wheel slot as a new ready run.
+                    # bulk-transfer due wheel slots into the heap first.
                     # _due (earliest parked slot start) makes the common
                     # nothing-due case one float compare.
-                    if wheel._count and wheel._due <= limit:
-                        bound = limit
-                        if heap and heap[0][0] < bound:
-                            bound = heap[0][0]
-                        if fast and fast[0][0] < bound:
-                            bound = fast[0][0]
-                        if wheel._due <= bound:
-                            dropped = wheel.advance_run(
-                                bound, ready, self._tombstones > 0
-                            )
-                            if dropped:
-                                self._tombstones -= dropped
-                            continue
-                    rl = 0
-                # pick the globally smallest (time, seq) live entry
-                # across the ready run, the heap, and the fast lane
-                if rp < rl:
-                    entry = ready[rp]
-                    lane = 2
-                    if heap:
-                        e2 = heap[0]
-                        if e2[0] < entry[0] or (
-                            e2[0] == entry[0] and e2[1] < entry[1]
-                        ):
-                            entry = e2
-                            lane = 1
-                elif heap:
+                    bound = limit
+                    if heap and heap[0][0] < bound:
+                        bound = heap[0][0]
+                    if fast and fast[0][0] < bound:
+                        bound = fast[0][0]
+                    if wheel._due <= bound:
+                        dropped = wheel.advance(bound, heap)
+                        if dropped:
+                            self._tombstones -= dropped
+                # pick the smaller (time, seq) of the two lane heads
+                use_fast = False
+                if heap:
                     entry = heap[0]
-                    lane = 1
+                    if fast:
+                        fe = fast[0]
+                        if fe[0] < entry[0] or (
+                            fe[0] == entry[0] and fe[1] < entry[1]
+                        ):
+                            entry = fe
+                            use_fast = True
+                elif fast:
+                    entry = fast[0]
+                    use_fast = True
                 else:
-                    entry = None
-                    lane = 0
-                if fast:
-                    e3 = fast[0]
-                    if entry is None or e3[0] < entry[0] or (
-                        e3[0] == entry[0] and e3[1] < entry[1]
-                    ):
-                        entry = e3
-                        lane = 3
-                if entry is None:
                     break
                 t = entry[_TIME]
                 if t > limit:
                     break
-                if lane == 3:
+                if use_fast:
                     fast.popleft()
-                elif lane == 1:
-                    heappop(heap)
                 else:
-                    rp += 1
+                    heappop(heap)
                 consumed += 1
                 fn = entry[_FN]
                 entry[_FN] = None  # mark fired (cancel() becomes a no-op)
@@ -734,62 +571,15 @@ class Simulation:
                 if prof is not None:
                     prof.on_event(entry[_LABEL] or _component_of(fn), t)
                 fn()
-                if lane != 2:
-                    pool.append(entry)
+                pool.append(entry)
                 if consumed > max_events:
                     raise SimError(
                         f"exceeded max_events={max_events}; runaway simulation?"
-                    )
-                if lane != 2 or prof is not None:
-                    continue
-                # burst lane: drain the ready run while it provably
-                # stays the global minimum.  This inner loop is the
-                # steady-state dispatch path — no heap traffic, no
-                # per-event lane arbitration beyond emptiness checks.
-                # The IndexError backstop (cheap on 3.11+) covers both
-                # run exhaustion and a mid-burst _compact shrinking the
-                # suffix; fn() runs outside the try.
-                rp0 = rp
-                skipped = 0
-                while True:
-                    try:
-                        entry = ready[rp]
-                    except IndexError:
-                        break
-                    t = entry[0]
-                    if t > limit or fast:
-                        break
-                    if heap:
-                        e2 = heap[0]
-                        if e2[0] < t or (e2[0] == t and e2[1] < entry[1]):
-                            break
-                    rp += 1
-                    fn = entry[2]
-                    if fn is None:
-                        # tombstone: reset the flag (consumed) so a
-                        # mid-loop _compact filters only the suffix
-                        entry[4] = False
-                        self._tombstones -= 1
-                        skipped += 1
-                        continue
-                    entry[2] = None
-                    clock._now = t
-                    fn()
-                consumed += rp - rp0 - skipped
-                if consumed > max_events:
-                    raise SimError(
-                        f"exceeded max_events={max_events}; "
-                        "runaway simulation?"
                     )
             if until is not None and clock._now < until:
                 clock.advance_to(until)
             return clock._now
         finally:
-            if rp:
-                # recycle the consumed prefix; an unfired suffix
-                # (events past `until`) persists for the next run()
-                pool.extend(ready[:rp])
-                del ready[:rp]
             if len(pool) > _POOL_MAX:
                 del pool[_POOL_MAX:]
             self._running = False
@@ -803,16 +593,11 @@ class Simulation:
         """Number of queued (non-cancelled) events.
 
         O(1) — every lane size is O(1) and tombstones are counted —
-        with no counter maintenance on the scheduling paths.  Exact
-        between :meth:`run` calls; read from inside a running callback
-        it may lag by the already-fired prefix of the in-flight ready
-        run (trimmed when ``run`` returns).
+        with no counter maintenance on the scheduling paths.
         """
         return (
             len(self._heap)
             + len(self._fast)
-            + len(self._ready)
-            + len(self._staged)
             + self._wheel._count
             - self._tombstones
         )

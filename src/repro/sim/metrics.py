@@ -131,10 +131,6 @@ class Histogram:
         return self.quantile(0.50)
 
     @property
-    def p90(self) -> float:
-        return self.quantile(0.90)
-
-    @property
     def p99(self) -> float:
         return self.quantile(0.99)
 

@@ -106,9 +106,6 @@ class Network:
         self._endpoints[name] = endpoint
         return endpoint
 
-    def unregister(self, name: str) -> None:
-        self._endpoints.pop(name, None)
-
     def endpoint(self, name: str) -> Optional[Endpoint]:
         return self._endpoints.get(name)
 

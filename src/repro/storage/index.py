@@ -16,7 +16,7 @@ that an ordered commit history is the universal change substrate.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 from repro._types import Key, KeyRange, Mutation, Version
 from repro.core.versioned_map import VersionedMap
@@ -103,14 +103,6 @@ class SecondaryIndex:
 
     def count(self, value: Any, version: Optional[Version] = None) -> int:
         return len(self.lookup(value, version))
-
-    def distinct_values_prefix(self, encoded_prefix: str = "") -> Set[str]:
-        """Encoded index values currently having at least one posting
-        (diagnostics/tests)."""
-        out: Set[str] = set()
-        for posting in self._postings.items_latest():
-            out.add(posting.split(_SEP, 1)[0])
-        return out
 
 
 class UniqueConstraintError(RuntimeError):

@@ -72,11 +72,6 @@ class SortedKeyIndex:
     def __bool__(self) -> bool:
         return bool(self._sorted) or bool(self._pending)
 
-    def range_bounds(self, low: str, high: str) -> Tuple[int, int]:
-        """(lo, hi) indices of ``[low, high)`` in the merged array."""
-        merged = self._merge()
-        return bisect_left(merged, low), bisect_left(merged, high)
-
     def irange(self, low: str, high: str) -> Iterator[str]:
         """Yield keys in ``[low, high)`` in sorted order, no copies."""
         merged = self._merge()

@@ -182,6 +182,3 @@ class PubsubWorkerPool:
     @property
     def completed(self) -> int:
         return self.stats.completed
-
-    def queue_depths(self) -> Dict[str, int]:
-        return {worker.name: worker.queue_depth for worker in self.workers}

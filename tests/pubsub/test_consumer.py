@@ -5,6 +5,7 @@ import pytest
 from repro.pubsub.broker import Broker
 from repro.pubsub.consumer import Consumer
 from repro.pubsub.message import Message
+from repro.pubsub.subscription import SubscriptionConfig
 
 
 def msg(payload, key=None, offset=0):
@@ -35,8 +36,10 @@ class TestProcessing:
         assert consumer.failed == 1
 
     def test_handler_exception_nacks(self, sim):
+        error = RuntimeError("handler broke")
+
         def boom(m):
-            raise RuntimeError("handler broke")
+            raise error
 
         consumer = Consumer(sim, "c", handler=boom)
         outcomes = []
@@ -44,6 +47,33 @@ class TestProcessing:
                          nack=lambda: outcomes.append("nack"))
         sim.run()
         assert outcomes == ["nack"]
+        assert consumer.failed == 1
+        assert consumer.handler_errors == 1
+        assert consumer.last_error is error
+
+    def test_raising_handler_is_redelivered_and_counted(self, sim):
+        broker = Broker(sim)
+        broker.create_topic("t", num_partitions=1)
+        group = broker.consumer_group(
+            "t", "g", SubscriptionConfig(ack_timeout=100.0)
+        )
+        attempts = []
+
+        def flaky(m):
+            attempts.append(m.payload)
+            if len(attempts) <= 2:
+                raise ValueError(f"attempt {len(attempts)}")
+            return True
+
+        consumer = Consumer(sim, "c", handler=flaky)
+        group.join(consumer)
+        broker.publish("t", None, "x")
+        sim.run_for(10.0)
+        assert attempts == ["x", "x", "x"]
+        assert consumer.handler_errors == 2
+        assert str(consumer.last_error) == "attempt 2"
+        assert consumer.failed == 2
+        assert consumer.processed == 1
 
     def test_service_time_fn_per_message(self, sim):
         consumer = Consumer(

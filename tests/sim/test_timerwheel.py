@@ -245,6 +245,18 @@ def test_pending_events_counts_parked_timers():
     assert sim.pending_events == 0
 
 
+def test_pending_events_exact_inside_callbacks_from_one_slot():
+    """Timers transferred together from one wheel slot leave the count
+    one by one as they fire, not when the whole slot is consumed."""
+    sim = Simulation()
+    seen = []
+    for i in range(5):
+        sim.call_after(10.0 + i * 0.01, lambda: seen.append(sim.pending_events))
+    sim.run()
+    assert seen == [4, 3, 2, 1, 0]
+    assert sim._wheel.stats()["inserted"] == 5  # all parked in one slot
+
+
 def test_wheel_empty_fast_forward_after_long_idle():
     """After hours of simulated idle, a freshly parked timer still
     fires at the right instant (the wheel fast-forwards, it does not
