@@ -42,7 +42,7 @@ from repro._types import KeyRange
 from repro.bench.runner import ExperimentResult
 from repro.core.bridge import DirectIngestBridge
 from repro.core.watch_system import WatchSystem
-from repro.edge.client import EdgeClient
+from repro.edge.client import EdgeClient, audit_key_ranges
 from repro.edge.frontend import (
     EdgeFrontendConfig,
     PubsubEdgeFrontend,
@@ -313,6 +313,7 @@ def run(
                 peak_slow = max(peak_slow, client.peak_queue)
             else:
                 peak_fast = max(peak_fast, client.peak_queue)
+        audit_key_ranges(clients)
 
         accounted = sum(v for k, v in totals.items() if k != "offered")
         attributed_pct = (

@@ -108,6 +108,77 @@ class _SessionSet:
         return iter(snap)
 
 
+#: :meth:`RangeIndex.route` result when several groups hold the key
+OVERLAP = object()
+
+
+class RangeIndex:
+    """Sessions grouped by their exact key range, over one registry.
+
+    The routing rule of every range fan-out point (``WatchSystem.append``
+    and ``PubsubEdgeFrontend`` live ingest): :meth:`route` returns the
+    one group whose range holds the key — its sessions need no range
+    test — ``None`` when no group does, and :data:`OVERLAP` when several
+    do.  On overlap the caller scans ``members`` with a per-session
+    range test, so cross-group offer order is registration order,
+    exactly what an unindexed scan of the registry produces.  Within a
+    group, order is registration order too.  Members must carry a
+    hashable ``key_range``.
+    """
+
+    __slots__ = ("members", "_groups", "_sole")
+
+    def __init__(self) -> None:
+        #: every member, in registration order
+        self.members = _SessionSet()
+        self._groups: Dict[KeyRange, _SessionSet] = {}
+        #: (range, group) when exactly one group exists — the common
+        #: sharded topology — letting route skip the group scan
+        self._sole: Optional[Tuple[KeyRange, _SessionSet]] = None
+
+    def add(self, session) -> None:
+        self.members.add(session)
+        key_range = session.key_range
+        group = self._groups.get(key_range)
+        if group is None:
+            self._groups[key_range] = group = _SessionSet()
+            self._sole = (
+                (key_range, group) if len(self._groups) == 1 else None
+            )
+        group.add(session)
+
+    def discard(self, session) -> bool:
+        """Remove ``session``; False if it was not a member."""
+        if session not in self.members:
+            return False
+        self.members.discard(session)
+        key_range = session.key_range
+        group = self._groups.get(key_range)
+        if group is not None:
+            group.discard(session)
+            if not group:
+                groups = self._groups
+                del groups[key_range]
+                self._sole = (
+                    next(iter(groups.items())) if len(groups) == 1 else None
+                )
+        return True
+
+    def route(self, key: Key):
+        """The group holding ``key``, ``None``, or :data:`OVERLAP`."""
+        sole = self._sole
+        if sole is not None:
+            rng, group = sole
+            return group if rng.low <= key < rng.high else None
+        target = None
+        for rng, group in self._groups.items():
+            if rng.low <= key < rng.high:
+                if target is not None:
+                    return OVERLAP
+                target = group
+        return target
+
+
 class WatchSystem(Watchable, Ingester):
     """Soft-state fan-out layer between a store and many watchers."""
 
@@ -140,26 +211,19 @@ class WatchSystem(Watchable, Ingester):
         self._floor: Version = VERSION_ZERO
         #: latest progress mark per exact ingested range
         self._progress_marks: Dict[KeyRange, Version] = {}
-        #: insertion-ordered registries (:class:`_SessionSet`):
-        #: iteration order matches the old list implementation exactly,
-        #: while close is O(1) instead of O(sessions) — at E14 scale a
-        #: reconnect storm closes tens of thousands of sessions against
-        #: a 100k+ registry, where list.remove would be quadratic
-        self._sessions = _SessionSet()
+        #: every session, grouped by exact key range so an ingest only
+        #: touches sessions whose range can match.  Registries are
+        #: insertion-ordered (:class:`_SessionSet`): iteration order
+        #: matches the old list implementation exactly, while close is
+        #: O(1) instead of O(sessions) — at E14 scale a reconnect storm
+        #: closes tens of thousands of sessions against a 100k+
+        #: registry, where list.remove would be quadratic
+        self._index = RangeIndex()
         #: the subset of sessions that subscribed to progress events;
         #: edge feeds opt out (they deliver values, not knowledge
         #: windows), keeping each progress tick O(interested) instead
         #: of O(sessions)
         self._progress_sessions = _SessionSet()
-        #: sessions grouped by their exact key range, so an ingest only
-        #: touches sessions whose range can match (registration order is
-        #: preserved within a group; when several groups match one key
-        #: the global registry is used so cross-group delivery order
-        #: stays identical to the unindexed implementation)
-        self._range_groups: Dict[KeyRange, _SessionSet] = {}
-        #: (range, group) when exactly one group exists — the common
-        #: sharded topology — letting ingest skip the group scan
-        self._sole_group = None
         # counters created on first use so the registry's contents stay
         # identical to the f-string-per-call implementation
         self._watches_counter: Optional[Counter] = None
@@ -189,25 +253,10 @@ class WatchSystem(Watchable, Ingester):
         # fan out through the range index: when exactly one range group
         # matches the key, only its sessions are touched (they skip the
         # redundant range check); overlapping groups fall back to the
-        # global list so cross-group delivery order is unchanged
-        key = event.key
-        target: Optional[_SessionSet] = None
-        multi = False
-        sole = self._sole_group
-        if sole is not None:
-            rng, group = sole
-            if rng.low <= key < rng.high:
-                target = group
-        else:
-            for rng, group in self._range_groups.items():
-                if rng.low <= key < rng.high:
-                    if target is None:
-                        target = group
-                    else:
-                        multi = True
-                        break
-        if multi:
-            for session in self._sessions:
+        # global registry so cross-group delivery order is unchanged
+        target = self._index.route(event.key)
+        if target is OVERLAP:
+            for session in self._index.members:
                 session.offer_event(event)
         elif target is not None:
             sim_post = self.sim.post
@@ -304,18 +353,9 @@ class WatchSystem(Watchable, Ingester):
             tracer=self.tracer if tracer is _SYSTEM_TRACER else tracer,
             label=self._next_label(),
         )
-        self._sessions.add(session)
+        self._index.add(session)
         if progress:
             self._progress_sessions.add(session)
-        group = self._range_groups.get(key_range)
-        if group is None:
-            self._range_groups[key_range] = group = _SessionSet()
-            group.add(session)
-            self._sole_group = (
-                (key_range, group) if len(self._range_groups) == 1 else None
-            )
-        else:
-            group.add(session)
         counter = self._watches_counter
         if counter is None:
             counter = self._watches_counter = self.metrics.counter(
@@ -353,20 +393,8 @@ class WatchSystem(Watchable, Ingester):
         return f"{self.name}#{self._session_seq}"
 
     def _session_closed(self, session: WatcherSession) -> None:
-        if session not in self._sessions:
-            return
-        self._sessions.discard(session)
-        self._progress_sessions.discard(session)
-        group = self._range_groups.get(session.key_range)
-        if group is not None:
-            group.discard(session)
-            if not group:
-                del self._range_groups[session.key_range]
-                groups = self._range_groups
-                if len(groups) == 1:
-                    self._sole_group = next(iter(groups.items()))
-                else:
-                    self._sole_group = None
+        if self._index.discard(session):
+            self._progress_sessions.discard(session)
 
     # ------------------------------------------------------------------
     # soft-state management
@@ -390,7 +418,7 @@ class WatchSystem(Watchable, Ingester):
         self._buf_sorted = True
         self._progress_marks.clear()
         self._floor = highest
-        for session in list(self._sessions):
+        for session in list(self._index.members):
             session.signal_resync()
 
     def _iter_buffer(self):
@@ -420,7 +448,7 @@ class WatchSystem(Watchable, Ingester):
             self._buf_sorted = True
         self._buf_head = head
         self._maybe_compact_buffer()
-        for session in list(self._sessions):
+        for session in list(self._index.members):
             if session.delivered_version < version:
                 session.signal_resync()
 
@@ -435,7 +463,7 @@ class WatchSystem(Watchable, Ingester):
 
     @property
     def active_watchers(self) -> int:
-        return len(self._sessions)
+        return len(self._index.members)
 
     def soft_state_bytes(self) -> int:
         """Current soft-state footprint (E8: this is *not* hard state)."""

@@ -31,6 +31,34 @@ _TOTAL_KEYS = (
 )
 
 
+class KeyRangeViolation(AssertionError):
+    """A client's local state holds a key outside its key range."""
+
+
+def audit_key_ranges(clients) -> None:
+    """End-of-run audit: every key in every client's ``state`` lies in
+    that client's ``key_range`` (keyless pubsub messages go to every
+    client, so a ``None`` key passes); raises :class:`KeyRangeViolation`
+    naming each offending client.  A frontend that offers a session
+    keys outside its range passes conservation (the offers are counted
+    and delivered) — only this check sees it."""
+    problems = []
+    for client in clients:
+        key_range = client.key_range
+        outside = [
+            key for key in client.state
+            if key is not None and not key_range.contains(key)
+        ]
+        if outside:
+            problems.append(
+                f"{client.name}: {len(outside)} keys outside "
+                f"[{key_range.low!r}, {key_range.high!r}), "
+                f"first {min(outside)!r}"
+            )
+    if problems:
+        raise KeyRangeViolation("; ".join(problems))
+
+
 class EdgeClient:
     """One client identity: cursors, state, and reconnect policy.
 

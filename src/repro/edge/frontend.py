@@ -20,7 +20,9 @@ pipeline, both hosting :class:`~repro.edge.session.ClientSession`s:
     no snapshot to re-serve — pubsub's contract is every-message — so
     reconnect catch-up *replays the broker's partition logs* from the
     client's offset cursor: a storm multiplies load on the source-side
-    log, which is exactly the §4.4 amplification E11 measures.
+    log, which is exactly the §4.4 amplification E11 measures.  Replay
+    reads (and counts) every message from the cursor, but offers a
+    session only the messages inside its key range.
 
 The reconnect decision rule lives here: a client whose cursor is within
 ``catchup_threshold`` of the frontend head gets delta catch-up; one
@@ -44,7 +46,12 @@ from repro.core.relay import (
     WatchRelay,
 )
 from repro.core.stream import WatcherConfig
-from repro.core.watch_system import WatchSystem, WatchSystemConfig
+from repro.core.watch_system import (
+    OVERLAP,
+    RangeIndex,
+    WatchSystem,
+    WatchSystemConfig,
+)
 from repro.edge.session import (
     ClientSession,
     SessionConfig,
@@ -472,13 +479,19 @@ class WatchEdgeFrontend:
         session.offer_snapshot(version, items)
         self._attach_feed(session, version)
 
-    def _session_closed(self, session: ClientSession, reason: str) -> None:
+    def detach(self, session: ClientSession) -> None:
+        """Stop serving ``session``: unregister it and cancel its relay
+        feed.  Close runs this; so does a fault that orphans a session
+        without closing it."""
         if self.sessions.get(session.client.name) is session:
             del self.sessions[session.client.name]
         handle = session._feed_handle
         session._feed_handle = None
         if handle is not None and handle.active:
             handle.cancel()
+
+    def _session_closed(self, session: ClientSession, reason: str) -> None:
+        self.detach(session)
 
     # ------------------------------------------------------------------
     # Failable protocol
@@ -539,7 +552,11 @@ class PubsubEdgeFrontend:
         self.tracer = tracer
         self.up = True
         self.topic = broker.topic(topic)
+        #: live sessions by client name, and the same sessions grouped
+        #: by key range for ingest routing; both change only in
+        #: :meth:`connect` and :meth:`detach`, so their orders agree
         self.sessions: Dict[str, ClientSession] = {}
+        self._index = RangeIndex()
         #: per-session causal gates (causal mode only), by client name.
         #: Stamps arrive in-band on message payloads (CDC stamping), so
         #: no index plumbing is needed on this pipeline.
@@ -558,7 +575,9 @@ class PubsubEdgeFrontend:
         self.replayed = 0
         #: offsets silently missing during replay (GC'd / compacted)
         self.replay_gaps = 0
-        self._consumer = Consumer(sim, f"{name}-consumer", handler=self._on_message)
+        self._consumer = Consumer(
+            sim, f"{name}-consumer", handler=self._on_message, tracer=tracer
+        )
         self.feed = broker.free_consumer(topic, self._consumer)
         if net is not None:
             # broker-side relay of the free-consumer stream to the
@@ -593,21 +612,44 @@ class PubsubEdgeFrontend:
         if not self.up:
             return
         self.events_ingested += 1
-        for session in list(self.sessions.values()):
+        # route through the range index (WatchSystem.append's rule): a
+        # keyless message goes to everyone, a key inside one group to
+        # that group alone, a key inside overlapping groups to a
+        # range-tested scan of every session in registration order.
+        # The registries iterate snapshots, so a session an offer
+        # closes mid-loop does not disturb the walk.
+        key = message.key
+        check_range = False
+        if key is None:
+            targets = self._index.members
+        else:
+            targets = self._index.route(key)
+            if targets is None:
+                return
+            if targets is OVERLAP:
+                targets = self._index.members
+                check_range = True
+        partition = message.partition
+        offset = message.offset
+        update = None
+        for session in targets:
             if not session.live:
                 continue  # still replaying the log; it will get there
-            if message.key is not None and not session.key_range.contains(message.key):
+            if check_range and not session.key_range.contains(key):
                 continue
-            expected = session.expected_offsets.get(message.partition, 0)
-            if message.offset < expected:
+            expected_offsets = session.expected_offsets
+            if offset < expected_offsets.get(partition, 0):
                 continue  # already served by replay (or a dup)
-            session.expected_offsets[message.partition] = message.offset + 1
-            self._offer_session(session, message)
+            expected_offsets[partition] = offset + 1
+            if update is None:
+                update = self._update_from(message)  # shared, never mutated
+            self._offer_session(session, message, update)
 
-    def _offer_session(self, session: ClientSession, message: Message) -> None:
+    def _offer_session(
+        self, session: ClientSession, message: Message, update: Update
+    ) -> None:
         """Offer one message to one session, through its causal gate
         (if causal mode) or directly."""
-        update = self._update_from(message)
         causal = self._causal.get(session.client.name)
         if causal is None:
             session.offer(update)
@@ -669,6 +711,7 @@ class PubsubEdgeFrontend:
         session.staleness_at_connect = staleness
         client.staleness_at_connect.append(staleness)
         self.sessions[client.name] = session
+        self._index.add(session)
         if self.config.delivery_mode == "causal":
             causal = CausalBuffer(
                 self.sim,
@@ -705,6 +748,8 @@ class PubsubEdgeFrontend:
     def _replay_step(self, session: ClientSession) -> None:
         if not session.active or not self.up:
             return
+        low = session.key_range.low
+        high = session.key_range.high
         behind = False
         for log in self.topic.partitions:
             expected = session.expected_offsets.get(log.partition, 0)
@@ -723,7 +768,10 @@ class PubsubEdgeFrontend:
                 expected = message.offset + 1
                 session.expected_offsets[log.partition] = expected
                 self.replayed += 1
-                self._offer_session(session, message)
+                key = message.key
+                if key is not None and not low <= key < high:
+                    continue  # read from the log, but not this client's
+                self._offer_session(session, message, self._update_from(message))
                 if not session.active:
                     return  # replay overflowed a disconnect-policy session
             if expected < log.next_offset:
@@ -735,9 +783,19 @@ class PubsubEdgeFrontend:
         else:
             session.live = True
 
+    def detach(self, session: ClientSession) -> bool:
+        """Stop routing live messages to ``session``; False if it was
+        not registered here.  Close runs this; so does a fault that
+        orphans a session without closing it."""
+        name = session.client.name
+        if self.sessions.get(name) is not session:
+            return False
+        del self.sessions[name]
+        self._index.discard(session)
+        return True
+
     def _session_closed(self, session: ClientSession, reason: str) -> None:
-        if self.sessions.get(session.client.name) is session:
-            del self.sessions[session.client.name]
+        if self.detach(session):
             self._causal.pop(session.client.name, None)
 
     # ------------------------------------------------------------------

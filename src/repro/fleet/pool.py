@@ -17,6 +17,7 @@ argument (the fleet's contract), not from inherited mutable state.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 from typing import Callable, List, Sequence, TypeVar
 
@@ -69,5 +70,14 @@ def process_map(
         return [fn(item) for item in items]
     ctx = _context()
     workers = min(jobs, len(items))
-    with ctx.Pool(workers, maxtasksperchild=maxtasksperchild) as pool:
-        return pool.map(fn, items, chunksize=1)
+    # forked workers inherit the parent's heap: collect its cyclic
+    # garbage (a finished monolith run leaves a whole simulation of
+    # it) and freeze the survivors, so the workers' collections
+    # neither free nor traverse them and their pages stay shared
+    gc.collect()
+    gc.freeze()
+    try:
+        with ctx.Pool(workers, maxtasksperchild=maxtasksperchild) as pool:
+            return pool.map(fn, items, chunksize=1)
+    finally:
+        gc.unfreeze()

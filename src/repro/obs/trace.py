@@ -45,6 +45,7 @@ class hops:
     PUBSUB_ACK = "pubsub.ack"
     PUBSUB_NACK = "pubsub.nack"
     PUBSUB_GAP = "pubsub.gap"          # cursor skipped GC'd/compacted offsets
+    CONSUMER_HANDLER_ERROR = "consumer.handler_error"  # handler raised; nacked
     # transport (identity-less; joined via channel/dst/seq attrs)
     NET_DROP = "net.drop"
     FRAME_FLUSH = "transport.flush"    # batched frame shipped; n_events payloads

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Deque, List, Optional, TYPE_CHECKING
 from collections import deque
 
+from repro.obs.trace import hops, payload_version
 from repro.pubsub.message import Message
 from repro.sim.kernel import Simulation
 
@@ -48,6 +49,7 @@ class Consumer:
         queue_capacity: Optional[int] = None,
         batch_handler: Optional[BatchHandler] = None,
         batch_overhead: float = 0.0,
+        tracer=None,
     ) -> None:
         if service_time < 0:
             raise ValueError("service_time must be >= 0")
@@ -69,11 +71,13 @@ class Consumer:
         #: (and therefore batching's throughput win) modelable
         self.batch_overhead = batch_overhead
         self.queue_capacity = queue_capacity
+        self.tracer = tracer
         self.up = True
         self.processed = 0
         self.failed = 0
         #: handler invocations that raised; each is also nacked and
-        #: counted in ``failed``, so the broker redelivers as usual
+        #: counted in ``failed``, so the broker redelivers as usual, and
+        #: traced as ``consumer.handler_error``
         self.handler_errors = 0
         self.last_error: Optional[Exception] = None
         self.dropped_while_down = 0
@@ -142,6 +146,8 @@ class Consumer:
             except Exception as exc:
                 self.handler_errors += 1
                 self.last_error = exc
+                if self.tracer is not None:
+                    self._trace_error(message, exc)
                 ok = False
             count = len(message) if is_batch else 1
             if ok is False:
@@ -166,6 +172,19 @@ class Consumer:
             self.sim.call_after(delay, finish)
         else:
             finish()
+
+    def _trace_error(self, item, exc: Exception) -> None:
+        # a group delivery is one handler call: trace its first message
+        # and the group size
+        first = item[0] if type(item) is list else item
+        self.tracer.record(
+            hops.CONSUMER_HANDLER_ERROR, self.name,
+            key=first.key, version=payload_version(first.payload),
+            consumer=self.name, partition=first.partition,
+            offset=first.offset,
+            batch=len(item) if type(item) is list else 1,
+            error=type(exc).__name__,
+        )
 
     def _handle_batch(self, messages: List[Message]) -> Optional[bool]:
         if self.batch_handler is not None:

@@ -217,12 +217,7 @@ class StateCorruptor:
         client = self.sim.rng.choice(candidates)
         session = client.session
         for frontend in self.frontends:
-            if frontend.sessions.get(client.name) is session:
-                del frontend.sessions[client.name]
-        handle = getattr(session, "_feed_handle", None)
-        if handle is not None and handle.active:
-            handle.cancel()
-        session._feed_handle = None
+            frontend.detach(session)
         self._record(cls, f"edge/{client.name}", client=client.name)
         return 1
 

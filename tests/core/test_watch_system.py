@@ -6,7 +6,12 @@ from repro._types import KEY_MAX, KEY_MIN, KeyRange, Mutation
 from repro.core.api import FnWatchCallback
 from repro.core.events import ChangeEvent, ProgressEvent
 from repro.core.stream import WatcherConfig
-from repro.core.watch_system import WatchSystem, WatchSystemConfig
+from repro.core.watch_system import (
+    OVERLAP,
+    RangeIndex,
+    WatchSystem,
+    WatchSystemConfig,
+)
 
 
 def collector():
@@ -193,3 +198,38 @@ class TestSessionManagement:
         sim.run(until=10000.0)
         assert resyncs == [True]
         assert ws.active_watchers == 0
+
+
+class TestRangeIndex:
+    class Member:
+        def __init__(self, low, high):
+            self.key_range = KeyRange(low, high)
+
+    def test_route_one_none_or_overlap(self):
+        index = RangeIndex()
+        a1, b1 = self.Member("a", "c"), self.Member("c", "e")
+        a2, wide = self.Member("a", "c"), self.Member("b", "d")
+        for member in (a1, b1, a2):
+            index.add(member)
+        assert list(index.route("a5")) == [a1, a2]
+        assert list(index.route("d")) == [b1]
+        assert index.route("x") is None
+        index.add(wide)
+        assert index.route("b5") is OVERLAP
+        assert index.route("c5") is OVERLAP
+        assert list(index.members) == [a1, b1, a2, wide]
+
+    def test_discard_keeps_order_and_sole_group(self):
+        index = RangeIndex()
+        a, b, c = (self.Member("a", "c") for _ in range(3))
+        other = self.Member("m", "n")
+        for member in (a, b, other, c):
+            index.add(member)
+        assert index.discard(b)
+        assert not index.discard(b)
+        assert list(index.route("a")) == [a, c]
+        assert index.discard(other)
+        # back to a single group: routing takes the sole-group path
+        assert list(index.route("b")) == [a, c]
+        assert index.route("m") is None
+        assert list(index.members) == [a, c]

@@ -6,6 +6,7 @@ one function; "parallel == sequential" is proven here once.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 
@@ -56,6 +57,21 @@ def test_worker_exception_propagates():
         process_map(_boom, [2], jobs=1)
     with pytest.raises(RuntimeError):
         process_map(_boom, [1, 2, 3], jobs=2)
+
+
+def _frozen_count(n):
+    return gc.get_freeze_count()
+
+
+def test_workers_start_with_the_parent_heap_frozen_and_parent_thaws():
+    keep = [[i] for i in range(1000)]  # tracked objects the workers inherit
+    frozen = process_map(_frozen_count, [1, 2], jobs=2)
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert all(count >= len(keep) for count in frozen)
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(RuntimeError):
+        process_map(_boom, [1, 2], jobs=2)
+    assert gc.get_freeze_count() == 0
 
 
 def test_daemonic_process_degrades_to_inline(monkeypatch):

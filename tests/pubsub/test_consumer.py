@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.trace import Tracer, hops
 from repro.pubsub.broker import Broker
 from repro.pubsub.consumer import Consumer
 from repro.pubsub.message import Message
@@ -50,6 +51,52 @@ class TestProcessing:
         assert consumer.failed == 1
         assert consumer.handler_errors == 1
         assert consumer.last_error is error
+
+    def test_handler_exception_is_traced(self, sim):
+        tracer = Tracer(sim)
+
+        def boom(m):
+            raise KeyError(m.key)
+
+        consumer = Consumer(sim, "c", handler=boom, tracer=tracer)
+        consumer.deliver(msg({"version": 7}, key="k1", offset=3),
+                         ack=lambda: None, nack=lambda: None)
+        consumer.deliver(msg({"version": 8}, key="k2", offset=4),
+                         ack=lambda: None, nack=lambda: None)
+        sim.run()
+        errors = [e for e in tracer.log if e.hop == hops.CONSUMER_HANDLER_ERROR]
+        assert consumer.handler_errors == len(errors) == 2
+        first = errors[0]
+        assert (first.component, first.key, first.version) == ("c", "k1", 7)
+        assert first.attrs == {
+            "consumer": "c", "partition": 0, "offset": 3, "batch": 1,
+            "error": "KeyError",
+        }
+        assert (errors[1].key, errors[1].attrs["offset"]) == ("k2", 4)
+
+    def test_batch_handler_exception_traces_the_group(self, sim):
+        tracer = Tracer(sim)
+
+        def boom(messages):
+            raise RuntimeError("group broke")
+
+        consumer = Consumer(sim, "c", batch_handler=boom, tracer=tracer)
+        group = [msg(i, key=f"k{i}", offset=i) for i in range(3)]
+        consumer.deliver_batch(group, ack=lambda: None, nack=lambda: None)
+        sim.run()
+        (error,) = [e for e in tracer.log
+                    if e.hop == hops.CONSUMER_HANDLER_ERROR]
+        assert error.key == "k0" and error.version is None
+        assert error.attrs["offset"] == 0 and error.attrs["batch"] == 3
+        assert consumer.handler_errors == 1 and consumer.failed == 3
+
+    def test_untraced_handler_error_records_nothing(self, sim):
+        tracer = Tracer(sim)
+        consumer = Consumer(sim, "c", handler=lambda m: 1 / 0)
+        consumer.deliver(msg(1), ack=lambda: None, nack=lambda: None)
+        sim.run()
+        assert consumer.handler_errors == 1
+        assert len(tracer.log) == 0
 
     def test_raising_handler_is_redelivered_and_counted(self, sim):
         broker = Broker(sim)
