@@ -288,6 +288,8 @@ def run(
             sim.call_at(hit_at, hit)
 
         sim.run(until=duration + drain)
+        for fe in frontends:
+            fe.table.audit_ready()
 
         # ------------------------------------------------------------------
         # accounting

@@ -11,8 +11,8 @@ its *scaling ceiling* after the PR-7 machinery (docs/scale.md):
   instead of per-object counter dicts;
 - the kernel's hierarchical timer wheel parking reconnect backoffs and
   connect staggering (O(fired), not O(scheduled));
-- shared-drain mode: ONE pump event per tick delivering for every
-  ready session (O(active)), idle sessions off the hot path;
+- the table's shared drain: ONE pump event per tick delivering for
+  every ready session (O(active)), idle sessions off the hot path;
 - per-session trace sampling (``TraceSampler``) so tracing stays
   bounded while the population grows.
 
@@ -66,7 +66,6 @@ DEFAULTS = dict(
     downtime_mean=2.0,
     initial_credits=8,
     max_queue=256,
-    drain_interval=0.001,
     catchup_threshold=100,
     trace_sample=512,
     lat_client_sample=16,
@@ -85,7 +84,6 @@ QUICK = dict(
     downtime_mean=1.0,
     initial_credits=8,
     max_queue=256,
-    drain_interval=0.001,
     catchup_threshold=100,
     trace_sample=64,
     lat_client_sample=4,
@@ -193,7 +191,6 @@ def run(
     downtime_mean: float = 2.0,
     initial_credits: int = 8,
     max_queue: int = 256,
-    drain_interval: float = 0.001,
     catchup_threshold: int = 100,
     trace_sample: int = 512,
     lat_client_sample: int = 16,
@@ -256,7 +253,6 @@ def run(
                 delivery_latency=0.001,
             ),
             catchup_threshold=catchup_threshold,
-            drain_interval=drain_interval,
             trace_sample=trace_sample,
             # feeds deliver values, not knowledge windows: skipping the
             # per-feed progress subscription keeps each progress tick
@@ -342,6 +338,8 @@ def run(
             sim.call_at(hit_at, hit)
 
         sim.run(until=write_start + duration + drain)
+        for fe in frontends:
+            fe.table.audit_ready()
 
         # ------------------------------------------------------------------
         # accounting

@@ -25,8 +25,10 @@ on one core a fleet does about the monolith's total work: the speedup
 comes from running shards on separate cores.  What still shrinks with
 the process is the pubsub storm's log replay, which reads every
 retained message of the process's partition logs.  Every shard ends with
-:func:`~repro.edge.client.audit_key_ranges`: no client holds a key
-outside its range.
+:meth:`~repro.edge.session_table.SessionTable.audit_ready` (no session
+that could deliver is off the ready list) and
+:func:`~repro.edge.client.audit_key_ranges` (no client holds a key
+outside its range).
 
 The sweep crosses two axes E14 could not reach:
 
@@ -107,7 +109,6 @@ DEFAULTS = dict(
     downtime_mean=1.5,
     initial_credits=8,
     max_queue=256,
-    drain_interval=0.001,
     delta_threshold=10_000,
     snapshot_threshold=64,
     retention_messages=40,
@@ -134,7 +135,6 @@ QUICK = dict(
     downtime_mean=1.0,
     initial_credits=8,
     max_queue=256,
-    drain_interval=0.001,
     delta_threshold=10_000,
     snapshot_threshold=24,
     retention_messages=12,
@@ -240,7 +240,6 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         # the mass-snapshot knob: reconnecting cursors are treated as
         # hopelessly far behind, whatever they really hold
         reconnect_cursor_age=10 ** 9 if snapshot_storm else None,
-        drain_interval=p["drain_interval"],
         trace_sample=p["trace_sample"],
         feed_progress=False,
     )
@@ -360,6 +359,7 @@ def run_shard(spec: ShardSpec) -> ShardResult:
         sim.call_at(hit_at, hit)
 
     sim.run(until=end_at)
+    frontend.table.audit_ready()
 
     # ------------------------------------------------------------------
     # shard accounting
@@ -458,7 +458,6 @@ def run(
     downtime_mean: float = 1.0,
     initial_credits: int = 8,
     max_queue: int = 256,
-    drain_interval: float = 0.001,
     delta_threshold: int = 10_000,
     snapshot_threshold: int = 24,
     retention_messages: int = 12,
@@ -517,7 +516,6 @@ def run(
             downtime_mean=downtime_mean,
             initial_credits=initial_credits,
             max_queue=max_queue,
-            drain_interval=drain_interval,
             delta_threshold=delta_threshold,
             snapshot_threshold=snapshot_threshold,
             retention_messages=retention_messages,

@@ -67,7 +67,6 @@ from repro.resilience.channel import ChannelConfig, ReliableChannel
 from repro.sim.kernel import Simulation
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network
-from repro.transport.batcher import BatchConfig
 
 #: the relay->session pipe: instant, unbounded — backpressure is the
 #: session queue's job, never the relay-side watcher queue's
@@ -93,19 +92,12 @@ class EdgeFrontendConfig:
     #: between batches (models a fetch round-trip to the broker log).
     replay_batch: int = 64
     replay_latency: float = 0.002
-    #: When set, each session's relay feed coalesces events under this
-    #: flush policy and offers them via ``ClientSession.offer_batch`` —
-    #: one drain kick per frame instead of per update.  None (default)
-    #: keeps the per-event offer path unchanged.
-    feed_batch: Optional[BatchConfig] = None
-    #: Shared-drain tick (seconds).  When set, sessions join the
-    #: frontend :class:`~repro.edge.session_table.SessionTable`'s
-    #: intrusive ready list and ONE pump event per tick delivers one
-    #: item for every ready session — O(active sessions) kernel events
-    #: instead of one per session per item, the E14 scaling mode.  The
-    #: tick replaces ``session.delivery_latency`` for drain pacing.
-    #: None (default) keeps per-session drain events, byte-identical
-    #: to the pre-table schedule.
+    #: Drain tick (seconds) of the frontend's
+    #: :class:`~repro.edge.session_table.SessionTable` pump: sessions
+    #: join its intrusive ready list and ONE pump event per tick
+    #: delivers one item for every ready session — O(active sessions)
+    #: kernel events, not one per session per item.  None (default)
+    #: ticks at ``session.delivery_latency``.
     drain_interval: Optional[float] = None
     #: Trace 1-in-N connected sessions (deterministic, by connect
     #: order); sampled-out sessions run with ``tracer=None`` so a
@@ -155,14 +147,21 @@ class EdgeFrontendConfig:
             raise ValueError("causal_hold must be positive")
 
 
+def _session_table(sim: Simulation, config: EdgeFrontendConfig) -> SessionTable:
+    """The frontend's shared session table; its pump ticks at
+    ``drain_interval``, else at the sessions' delivery latency."""
+    tick = config.drain_interval
+    if tick is None:
+        tick = config.session.delivery_latency
+    return SessionTable(
+        sim, drain_interval=tick, sampler=TraceSampler(config.trace_sample)
+    )
+
+
 class _SessionFeed(WatchCallback):
-    """Adapter: one relay watch feeding one client session.
+    """Adapter: one relay watch feeding one client session."""
 
-    With ``config.feed_batch`` set, events buffer per session and flush
-    as one ``offer_batch`` frame (on size or sim-clock linger).
-    """
-
-    __slots__ = ("frontend", "session", "_buffer", "_gen")
+    __slots__ = ("frontend", "session")
 
     def __init__(
         self,
@@ -171,8 +170,6 @@ class _SessionFeed(WatchCallback):
     ):
         self.frontend = frontend
         self.session = session
-        self._buffer: list = []
-        self._gen = 0
 
     def on_event(self, event) -> None:
         mutation = event.mutation
@@ -182,31 +179,7 @@ class _SessionFeed(WatchCallback):
             value=mutation.value,
             is_delete=mutation.is_delete,
         )
-        self._offer(update)
-
-    def _offer(self, update: Update) -> None:
-        batch = self.frontend.config.feed_batch
-        if batch is None:
-            self.session.offer(update)
-            return
-        self._buffer.append(update)
-        if len(self._buffer) == 1:
-            gen = self._gen
-            self.frontend.sim.post(
-                batch.max_linger, lambda: self._linger_flush(gen)
-            )
-        if len(self._buffer) >= batch.max_batch:
-            self._flush()
-
-    def _linger_flush(self, gen: int) -> None:
-        if self._buffer and self._gen == gen:
-            self._flush()
-
-    def _flush(self) -> None:
-        updates = self._buffer
-        self._buffer = []
-        self._gen += 1
-        self.session.offer_batch(updates)
+        self.session.offer(update)
 
     def on_progress(self, event) -> None:
         pass  # sessions deliver values, not knowledge windows
@@ -248,7 +221,7 @@ class _CausalSessionFeed(_SessionFeed):
         stamp = self.frontend._stamp_for(event.key, event.version)
         self.causal.submit(
             event.key, event.version, stamp,
-            lambda: self._offer(update),
+            lambda: self.session.offer(update),
         )
 
 
@@ -292,11 +265,7 @@ class WatchEdgeFrontend:
         #: experiment accounting — held depth, deadline releases
         self.causal_buffers: list = []
         self.sessions: Dict[str, ClientSession] = {}
-        self.table = SessionTable(
-            sim,
-            drain_interval=self.config.drain_interval,
-            sampler=TraceSampler(self.config.trace_sample),
-        )
+        self.table = _session_table(sim, self.config)
         self.connects = 0
         self.catchups_served = 0
         self.snapshots_served = 0
@@ -562,11 +531,7 @@ class PubsubEdgeFrontend:
         #: no index plumbing is needed on this pipeline.
         self._causal: Dict[str, CausalBuffer] = {}
         self.causal_buffers: list = []
-        self.table = SessionTable(
-            sim,
-            drain_interval=config.drain_interval,
-            sampler=TraceSampler(config.trace_sample),
-        )
+        self.table = _session_table(sim, config)
         self.connects = 0
         self.catchups_served = 0
         self.events_ingested = 0

@@ -164,11 +164,10 @@ class ClientSession:
 
     __slots__ = (
         "sim", "name", "client", "key_range", "config", "tracer",
-        "table", "sid", "_shared", "_on_closed", "_policy", "_max_queue",
-        "_delivery_latency", "_queue", "_qhead", "_cells", "credits",
-        "_draining", "_active", "close_reason", "staleness_at_connect",
-        "live", "expected_offsets", "_feed_handle", "_deliver_cb",
-        "_final",
+        "table", "sid", "_on_closed", "_policy", "_max_queue",
+        "_queue", "_qhead", "_cells", "credits", "_active",
+        "close_reason", "staleness_at_connect", "live",
+        "expected_offsets", "_feed_handle", "_final",
     )
 
     def __init__(
@@ -188,14 +187,15 @@ class ClientSession:
         self.key_range = key_range
         self.config = config or SessionConfig()
         self.tracer = tracer
-        #: standalone sessions get a private table; frontends share one
-        self.table = table if table is not None else SessionTable()
-        self.sid = self.table.attach(self)
-        self._shared = self.table.shared_drain
+        #: standalone sessions get a private table whose pump ticks at
+        #: the session's delivery latency; frontends share one
+        if table is None:
+            table = SessionTable(sim, drain_interval=self.config.delivery_latency)
+        self.table = table
+        self.sid = table.attach(self)
         self._on_closed = on_closed
         self._policy = self.config.policy
         self._max_queue = self.config.max_queue
-        self._delivery_latency = self.config.delivery_latency
         #: queue entries are single-slot cells ``[Update]`` (so coalesce
         #: can swap in a newer value in place) or SnapshotDelivery;
         #: consumed entries are None'd behind ``_qhead``
@@ -210,7 +210,6 @@ class ClientSession:
             else None
         )
         self.credits = self.config.initial_credits
-        self._draining = False
         self._active = True
         self.close_reason: Optional[str] = None
         #: sampled by the frontend at connect (versions or messages behind)
@@ -219,9 +218,6 @@ class ClientSession:
         self.live = True
         self.expected_offsets: Dict[int, int] = {}
         self._feed_handle = None
-        #: pre-bound so the hot drain path posts without allocating a
-        #: bound method per event
-        self._deliver_cb = self._deliver_next
         #: counters snapshot taken at close, before the slot is recycled
         self._final: Optional[tuple] = None
 
@@ -232,29 +228,6 @@ class ClientSession:
         """Enqueue one update, applying the slow-consumer policy."""
         if not self._active:
             return
-        if self._offer_inner(update):
-            self._kick()
-
-    def offer_batch(self, updates: List[Update]) -> None:
-        """Enqueue a frame of updates with ONE delivery kick.
-
-        Per-update policy handling and conservation accounting are
-        identical to N :meth:`offer` calls; only the drain scheduling
-        is shared, so a frame costs one kernel event instead of one
-        per update.
-        """
-        kick = False
-        inner = self._offer_inner
-        for update in updates:
-            if not self._active:
-                return
-            if inner(update):
-                kick = True
-        if kick:
-            self._kick()
-
-    def _offer_inner(self, update: Update) -> bool:
-        """Apply policy and queue one update; True if a kick is due."""
         table = self.table
         sid = self.sid
         table.offered[sid] += 1
@@ -272,14 +245,14 @@ class ClientSession:
                         key=superseded.key, version=superseded.version,
                         session=self.name, superseded_by=update.version,
                     )
-                return False
+                return
         if len(queue) - self._qhead >= self._max_queue:
             if self._policy is SlowConsumerPolicy.DISCONNECT:
                 # the triggering update was never queued; the client's
                 # cursor has not passed it, so reconnect re-serves it
                 table.returned[sid] += 1
                 self.close("slow-consumer")
-                return False
+                return
             self._drop_oldest()
         cell = [update]
         queue.append(cell)
@@ -288,7 +261,7 @@ class ClientSession:
         depth = len(queue) - self._qhead
         if depth > table.peak_queue[sid]:
             table.peak_queue[sid] = depth
-        return True
+        self._kick()
 
     def offer_snapshot(self, version: Version, items: Dict[Key, Any]) -> None:
         """Enqueue a full re-serve (not subject to the queue bound)."""
@@ -335,21 +308,16 @@ class ClientSession:
         self._kick()
 
     def _kick(self) -> None:
+        # join the table's ready list; its pump delivers one item per
+        # ready session per tick
         if (
             self._active
             and self.credits > 0
             and len(self._queue) > self._qhead
         ):
-            if self._shared:
-                # O(active) shared drain: join the table's ready list;
-                # the pump delivers one item per ready session per tick
-                self.table.enqueue_ready(self.sid)
-            elif not self._draining:
-                self._draining = True
-                self.sim.post(self._delivery_latency, self._deliver_cb)
+            self.table.enqueue_ready(self.sid)
 
     def _deliver_next(self) -> None:
-        self._draining = False
         queue = self._queue
         head = self._qhead
         if not self._active or self.credits <= 0 or len(queue) <= head:

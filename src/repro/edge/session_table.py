@@ -16,14 +16,16 @@ costs dominate, and this module removes all of them:
   (``offered == delivered + coalesced + dropped + returned + queued``)
   across half a million sessions; :meth:`totals` sums the columns in C
   instead of walking Python objects.
-- **Drain scheduling.**  In the default (per-session) mode every ready
-  session posts its own delivery event.  In *shared-drain* mode the
-  table keeps an intrusive ready list — a linked list threaded through
-  a ``sid -> next sid`` array — and one pump event per tick delivers
-  one item for every ready session.  Cost per tick is O(active
+- **Drain scheduling.**  The table keeps an intrusive ready list — a
+  linked list threaded through a ``sid -> next sid`` array — and one
+  pump event per tick delivers one item for every ready session.  This
+  is the only way a session delivers.  Cost per tick is O(active
   sessions with queued items and credits); idle sessions are never
-  visited, enqueue/dequeue are O(1), and membership is one byte per
-  slot.
+  visited, enqueue/dequeue are O(1), membership is one byte per slot,
+  and an N-update burst to one session costs one link because
+  ``enqueue_ready`` is idempotent.  :meth:`audit_ready` checks the
+  list's liveness invariant: every session that could deliver is armed
+  on it with a pump scheduled.
 
 The table also owns the per-session *trace sampling* decision (see
 ``repro.obs.trace.TraceSampler``): at 1M sessions, tracing every
@@ -31,9 +33,7 @@ delivery would dominate memory, so sessions whose sid is not sampled
 run with ``tracer=None`` and skip every tracing branch entirely.
 
 Determinism: the ready list is FIFO in kick order and the pump walks it
-in that order, so shared-drain runs are exactly reproducible; the
-default mode's event schedule is byte-identical to the pre-table
-implementation (E11's determinism suite asserts this).
+in that order, so runs are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from array import array
 from typing import Any, Dict, List, Optional
 
 from repro.obs.trace import TraceSampler
+from repro.sim.kernel import Simulation
 
 _NO_SID = -1
 
@@ -54,6 +55,10 @@ _NO_SID = -1
 _UNLINKED = 0
 _LINKED_ARMED = 1
 _LINKED_STALE = 2
+
+
+class LostWakeup(AssertionError):
+    """A session that could deliver is not armed on the ready list."""
 
 
 class SessionTable:
@@ -71,18 +76,14 @@ class SessionTable:
 
     def __init__(
         self,
-        sim=None,
-        drain_interval: Optional[float] = None,
+        sim: Simulation,
+        drain_interval: float,
         sampler: Optional[TraceSampler] = None,
     ) -> None:
-        if drain_interval is not None:
-            if sim is None:
-                raise ValueError("shared drain needs the simulation")
-            if drain_interval < 0:
-                raise ValueError("drain_interval must be >= 0")
+        if drain_interval < 0:
+            raise ValueError("drain_interval must be >= 0")
         self.sim = sim
-        #: None -> per-session drain events (the default); a float ->
-        #: shared-drain mode, one pump event per tick of this length
+        #: pump tick: one delivery per ready session per tick
         self.drain_interval = drain_interval
         self.sampler = sampler or TraceSampler()
         self._sessions: List[Any] = []
@@ -98,7 +99,7 @@ class SessionTable:
         self.returned = array("q")
         self.snapshots = array("q")
         self.peak_queue = array("q")
-        # intrusive ready list (shared-drain mode)
+        # intrusive ready list
         self._ready_next = array("q")
         self._in_ready = bytearray()
         self._ready_head = _NO_SID
@@ -173,11 +174,7 @@ class SessionTable:
         return self.sampler.keep(sid)
 
     # ------------------------------------------------------------------
-    # shared drain: intrusive ready list + single pump event
-
-    @property
-    def shared_drain(self) -> bool:
-        return self.drain_interval is not None
+    # drain: intrusive ready list + single pump event
 
     def enqueue_ready(self, sid: int) -> None:
         """Link a session into the ready list (idempotent, O(1)).
@@ -230,6 +227,45 @@ class SessionTable:
                         session._deliver_next()
             sid = nxt
         self.pump_visits += visits
+
+    def audit_ready(self) -> None:
+        """Lost-wakeup audit: every live session with queued items and
+        credits is armed on the ready list, and a pump is scheduled.
+
+        A session that could deliver but is not linked never delivers
+        again until some later offer or grant happens to kick it — its
+        items are neither delivered nor dropped, so conservation and
+        loss provenance cannot see the stall.  Raises
+        :class:`LostWakeup` naming each offending session, or the sid
+        where the list cycles.  Call it between events: the pump
+        detaches the list it walks while it runs.
+        """
+        linked = set()
+        ready_next = self._ready_next
+        sid = self._ready_head
+        while sid != _NO_SID:
+            if sid in linked:
+                raise LostWakeup(f"ready list cycles at sid {sid}")
+            linked.add(sid)
+            sid = ready_next[sid]
+        problems = []
+        in_ready = self._in_ready
+        for sid, session in enumerate(self._sessions):
+            if session is None or session.credits <= 0 or not session.backlog:
+                continue
+            if (
+                sid not in linked
+                or in_ready[sid] != _LINKED_ARMED
+                or not self._pump_scheduled
+            ):
+                problems.append(
+                    f"{session.name} (sid {sid}): {session.backlog} queued, "
+                    f"{session.credits} credits, "
+                    f"{'linked' if sid in linked else 'unlinked'}, "
+                    f"pump {'scheduled' if self._pump_scheduled else 'idle'}"
+                )
+        if problems:
+            raise LostWakeup("; ".join(problems))
 
     # ------------------------------------------------------------------
     # aggregate accounting (C-speed column sums)

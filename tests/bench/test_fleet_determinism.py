@@ -31,7 +31,6 @@ _PARAMS = dict(
     downtime_mean=1.0,
     initial_credits=8,
     max_queue=64,
-    drain_interval=0.001,
     delta_threshold=10_000,
     snapshot_threshold=8,
     retention_messages=6,

@@ -2,7 +2,7 @@
 
 The table is the E14 backbone (docs/scale.md): dense sids over array
 columns, a LIFO freelist with generations, and the O(active) intrusive
-ready list behind shared-drain mode.  Conservation
+ready list its pump drains — the only way a session delivers.  Conservation
 (``offered == delivered + coalesced + dropped + returned + queued``)
 must hold per session *and* across 100k sessions summed in C.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from repro._types import KeyRange
 from repro.edge.session import ClientSession, SessionConfig, SlowConsumerPolicy, Update
-from repro.edge.session_table import SessionTable
+from repro.edge.session_table import LostWakeup, SessionTable
 from repro.obs.trace import TraceSampler
 from repro.sim.kernel import Simulation
 
@@ -52,7 +52,7 @@ def _session(sim, table, name="s", policy=SlowConsumerPolicy.COALESCE, **kw):
 
 def test_slots_are_dense_and_reused_lifo():
     sim = Simulation()
-    table = SessionTable()
+    table = SessionTable(sim, drain_interval=0.001)
     s0, _ = _session(sim, table, "a")
     s1, _ = _session(sim, table, "b")
     s2, _ = _session(sim, table, "c")
@@ -69,7 +69,7 @@ def test_slots_are_dense_and_reused_lifo():
 
 def test_generation_bumps_on_release():
     sim = Simulation()
-    table = SessionTable()
+    table = SessionTable(sim, drain_interval=0.001)
     s0, _ = _session(sim, table)
     sid = s0.sid
     assert table.generation[sid] == 0
@@ -83,7 +83,7 @@ def test_generation_bumps_on_release():
 
 def test_reused_slot_columns_are_zeroed():
     sim = Simulation()
-    table = SessionTable()
+    table = SessionTable(sim, drain_interval=0.001)
     s0, _ = _session(sim, table)
     s0.offer(_update(1))
     sim.run()
@@ -98,7 +98,7 @@ def test_closed_session_counters_survive_slot_reuse():
     """EdgeClient folds counters inside on_session_closed; the numbers
     must stay readable after the slot is recycled by a reconnect."""
     sim = Simulation()
-    table = SessionTable()
+    table = SessionTable(sim, drain_interval=0.001)
     s0, _ = _session(sim, table)
     for i in range(1, 6):
         s0.offer(_update(i))
@@ -113,8 +113,8 @@ def test_closed_session_counters_survive_slot_reuse():
 
 
 def test_table_rejects_bad_drain_config():
-    with pytest.raises(ValueError):
-        SessionTable(drain_interval=0.01)  # needs the sim
+    with pytest.raises(TypeError):
+        SessionTable(drain_interval=0.01)  # the pump needs the sim
     with pytest.raises(ValueError):
         SessionTable(sim=Simulation(), drain_interval=-1.0)
     with pytest.raises(ValueError):
@@ -129,7 +129,7 @@ def test_conservation_across_100k_sessions():
     """100k sessions, mixed outcomes; the C-summed table columns obey
     conservation and match the per-session view."""
     sim = Simulation()
-    table = SessionTable()
+    table = SessionTable(sim, drain_interval=0.001)
     n = 100_000
     sessions = []
     for i in range(n):
@@ -161,7 +161,7 @@ def test_conservation_across_100k_sessions():
 
 def test_totals_include_closed_unrecycled_slots():
     sim = Simulation()
-    table = SessionTable()
+    table = SessionTable(sim, drain_interval=0.001)
     s0, _ = _session(sim, table)
     s0.offer(_update(1))
     sim.run()
@@ -278,7 +278,7 @@ def test_generation_tracks_every_release_through_a_storm():
     equals exactly how many times that slot was freed, and a handle
     captured before a wave is detectably stale after it."""
     sim = Simulation()
-    table = SessionTable()
+    table = SessionTable(sim, drain_interval=0.001)
     sessions = [_session(sim, table, f"s{i}")[0] for i in range(8)]
     releases = [0] * 8
     stale = []  # (sid, generation-at-attach) pairs from closed waves
@@ -307,7 +307,7 @@ def test_generation_tracks_every_release_through_a_storm():
 
 def test_snapshot_column_zeroed_when_storm_reuses_slot():
     sim = Simulation()
-    table = SessionTable()
+    table = SessionTable(sim, drain_interval=0.001)
     s0, c0 = _session(sim, table)
     s0.offer_snapshot(*_snapshot(5))
     s0.offer_snapshot(*_snapshot(6))
@@ -328,7 +328,7 @@ def test_conservation_survives_snapshot_heavy_churn():
     snapshot storm; lifetime attribution stays exact even though
     ``totals()`` columns are zeroed by slot reuse."""
     sim = Simulation()
-    table = SessionTable()
+    table = SessionTable(sim, drain_interval=0.001)
     folded = {"offered": 0, "attributed": 0, "snapshots": 0}
 
     def fold(session):
@@ -398,3 +398,61 @@ def test_sampler_keeps_every_nth():
     kept = [i for i in range(12) if sampler.keep(i)]
     assert kept == [0, 4, 8]
     assert all(TraceSampler().keep(i) for i in range(5))  # default: all
+
+
+# ----------------------------------------------------------------------
+# lost-wakeup audit: a session that could deliver is armed on the ready
+# list with a pump scheduled
+
+
+class _HoldingClient(_Client):
+    """Keeps every credit: grants come only from the test."""
+
+    def on_delivery(self, session, item):
+        self.delivered.append(item)
+
+
+def test_kick_arms_the_session_for_the_pump():
+    sim = Simulation()
+    table = SessionTable(sim, drain_interval=0.001)
+    client = _HoldingClient()
+    session = ClientSession(
+        sim, "s", client, key_range=KeyRange.all(),
+        config=SessionConfig(initial_credits=1), table=table,
+    )
+    session.offer(_update(1))
+    table.audit_ready()  # the offer's kick linked it
+    session.offer(_update(2))
+    sim.run()
+    assert len(client.delivered) == 1
+    table.audit_ready()  # queued but out of credits: nothing owed
+    session.grant()
+    table.audit_ready()  # the grant's kick linked it again
+    sim.run()
+    assert len(client.delivered) == 2
+    table.audit_ready()
+
+
+def test_audit_ready_names_sessions_left_off_the_ready_list():
+    sim = Simulation()
+    table = SessionTable(sim, drain_interval=0.001)
+    stalled, _ = _session(sim, table, "stalled", initial_credits=1)
+    fine, _ = _session(sim, table, "fine", initial_credits=1)
+    stalled.credits = 0
+    stalled.offer(_update(1))  # queued, no credit: correctly idle
+    fine.offer(_update(2))
+    table.audit_ready()
+    stalled.credits = 1  # a credit that arrives without a kick
+    with pytest.raises(LostWakeup, match=r"stalled \(sid 0\)") as info:
+        table.audit_ready()
+    assert "fine" not in str(info.value)
+
+
+def test_audit_ready_detects_a_cycling_ready_list():
+    sim = Simulation()
+    table = SessionTable(sim, drain_interval=0.001)
+    s0, _ = _session(sim, table, "a")
+    s0.offer(_update(1))
+    table._ready_next[s0.sid] = s0.sid  # a re-link onto itself
+    with pytest.raises(LostWakeup, match="cycles"):
+        table.audit_ready()
